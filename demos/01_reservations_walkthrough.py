@@ -23,7 +23,7 @@ def show(machine, label):
 
 def main():
     machine = rs.MachineSchedule(gamma=1)
-    machine.set_capacity(64)  # keep windows untrimmed for the walkthrough
+    machine.rebuild([], 64)  # nstar 64 keeps windows untrimmed for the walkthrough
 
     print("A window of span 64 covers two 32-slot intervals.  Its first job")
     print("creates the group: one base reservation per interval plus two for")
@@ -45,7 +45,7 @@ def main():
     print("Deleting a short job hands its slot back to the enclosing")
     print("intervals, which may fulfill a waitlisted reservation for free.\n")
     machine2 = rs.MachineSchedule(gamma=1)
-    machine2.set_capacity(256)
+    machine2.rebuild([], 256)
     for i in range(15):
         machine2.insert(f"z{i}", rs.AlignedWindow(2 * i, 2))
     for i in range(20):

@@ -51,7 +51,7 @@ from .core import (
     insert_request,
 )
 from .feasibility import FeasibilityVerdict, edf_feasible, matching_feasible, underallocated
-from .fleet import Fleet, FleetSnapshot, RequestOutcome, effective_windows
+from .fleet import Fleet, FleetSnapshot, RequestOutcome
 from .reservation import MachineSchedule, MachineSnapshot, capacity_step
 from .traces import (
     Trace,
@@ -76,7 +76,7 @@ __all__ = [
     "RequestOutcome", "RequestRecord", "SchedulerError", "Trace",
     "TraceFormatError", "UnknownJobId", "Window", "align_window", "audit",
     "audit_counting_bound", "build_scheduler", "capacity_step",
-    "delete_request", "edf_feasible", "effective_windows",
+    "delete_request", "edf_feasible",
     "gen_migration_adversary", "gen_random_underallocated",
     "gen_realloc_adversary", "insert_request", "intervals_of", "is_aligned",
     "level_of", "level_params", "level_threshold", "load_trace",

@@ -20,9 +20,7 @@ from .core import (
 )
 from .feasibility import edf_feasible
 from .fleet import Fleet, FleetSnapshot, RequestOutcome
-from .reservation import JobSnap, MachineSnapshot, SlotMove
-
-BASELINE_KINDS = ("naive", "edf-repack")
+from .reservation import JobSnap, MachineSnapshot, SlotMove, displace_longer
 
 
 class _NaiveJob:
@@ -32,6 +30,10 @@ class _NaiveJob:
         self.job_id = job_id
         self.aligned = aligned
         self.slot: int | None = None
+
+    @property
+    def span(self) -> int:
+        return self.aligned.span
 
 
 class NaiveMachine:
@@ -80,24 +82,14 @@ class NaiveMachine:
         # Full window: displace the leftmost victim of the smallest span at
         # least twice ours.  No such victim means the instance is infeasible,
         # since everything in the window is stuck inside it.
-        best_slot = None
-        best_span = None
-        for slot in range(w.start, w.end):
-            victim = self._jobs[self._occ[slot]]
-            vspan = victim.aligned.span
-            if vspan >= 2 * w.span and (best_span is None or vspan < best_span):
-                best_slot, best_span = slot, vspan
-        if best_slot is None:
+        victim = displace_longer(self._jobs, self._occ, job, w.start, w.end)
+        if victim is None:
             raise Infeasible(
                 f"window [{w.start}, {w.end}) is full and holds no job of span "
                 f">= {2 * w.span}; the instance is infeasible"
             )
-        victim = self._jobs[self._occ[best_slot]]
-        victim.slot = None
-        self._occ[best_slot] = job.job_id
-        job.slot = best_slot
-        self._moves.append((job.job_id, displaced_from, best_slot))
-        self._settle(victim, displaced_from=best_slot)
+        self._moves.append((job.job_id, displaced_from, job.slot))
+        self._settle(victim, displaced_from=job.slot)
 
     def snapshot(self) -> MachineSnapshot:
         jobs = {

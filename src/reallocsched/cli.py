@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .baselines import build_scheduler
@@ -62,13 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      default="invariants")
     run.add_argument("--csv", default=None, help="write the per-request ledger as CSV")
     run.add_argument("--per-request", action="store_true", help="print one row per request")
-    run.add_argument("--jobs", type=int, default=1, help="replay trace files in parallel")
 
     verify = sub.add_parser("verify", help="check every prefix for underallocation")
     verify.add_argument("traces", nargs="+", metavar="TRACE")
     verify.add_argument("--machines", "-m", type=int, default=None)
     verify.add_argument("--gamma", type=int, default=None)
-    verify.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -105,15 +102,16 @@ def _trace_params(trace: Trace, args) -> tuple[int, int]:
     return machines, gamma
 
 
-def _replay_one(path: str, args) -> tuple[int, list[str], str | None]:
-    """Replay one trace file; returns (exit code, report lines, csv text)."""
-    lines: list[str] = []
+def _replay_one(path: str, args) -> int:
+    """Replay one trace file, print its report and write its CSV; returns
+    the exit code."""
     try:
         trace = load_trace(path)
     except (OSError, TraceFormatError) as exc:
-        return 3, [f"error trace={path} kind=malformed detail={exc}"], None
+        print(f"error trace={path} kind=malformed detail={exc}")
+        return 3
     machines, gamma = _trace_params(trace, args)
-    config = Config(machines, gamma, args.audit)
+    config = Config(machines, gamma)
     scheduler = build_scheduler(args.scheduler, config)
     started = time.monotonic()
     result = replay(scheduler, trace.requests, audit_level=args.audit)
@@ -122,20 +120,21 @@ def _replay_one(path: str, args) -> tuple[int, list[str], str | None]:
 
     if args.per_request:
         for r in result.records:
-            lines.append(
+            print(
                 f"req index={r.index} op={r.op} id={r.job_id} n={r.n} delta={r.delta} "
                 f"realloc={r.reallocations} migr={r.migrations} "
                 f"rebuild_realloc={r.rebuild_reallocations} "
                 f"rebuild_migr={r.rebuild_migrations} rebuilt={int(r.rebuilt)}"
             )
     for f in result.failures:
-        lines.append(
+        print(
             f"audit-failure trace={path} index={f.request_index} "
             f"invariant={f.invariant} subject={f.subject!r} detail={f.detail!r}"
         )
     records = result.records
-    total_realloc = sum(r.reallocations + r.rebuild_reallocations for r in records)
-    total_migr = sum(r.migrations + r.rebuild_migrations for r in records)
+    ledger = scheduler.ledger()
+    total_realloc = ledger.total_reallocations
+    total_migr = ledger.total_migrations
     max_realloc = max((r.reallocations for r in records), default=0)
     max_migr = max((r.migrations for r in records), default=0)
     mean = total_realloc / len(records) if records else 0.0
@@ -147,11 +146,11 @@ def _replay_one(path: str, args) -> tuple[int, list[str], str | None]:
     if result.error is not None:
         index, exc = result.error
         status, code = "error", 2
-        lines.append(f"error trace={path} index={index} kind={type(exc).__name__} detail={exc}")
+        print(f"error trace={path} index={index} kind={type(exc).__name__} detail={exc}")
     if result.downgraded:
         print("warning: full-oracle audit degraded to invariants above "
               "500 active jobs", file=sys.stderr)
-    lines.append(
+    print(
         f"summary trace={path} scheduler={args.scheduler} machines={machines} "
         f"gamma={gamma} requests={len(records)} final_active={records[-1].n if records else 0} "
         f"total_reallocations={total_realloc} total_migrations={total_migr} "
@@ -159,27 +158,16 @@ def _replay_one(path: str, args) -> tuple[int, list[str], str | None]:
         f"mean_reallocations={mean:.4f} rebuilds={rebuilds} "
         f"audit_failures={len(result.failures)} status={status}"
     )
-    csv_text = scheduler.ledger().to_csv()
-    return code, lines, csv_text
+    if args.csv:
+        Path(args.csv).write_text(ledger.to_csv())
+    return code
 
 
 def _cmd_run(args) -> int:
     if args.csv and len(args.traces) > 1:
         print("error: --csv works with a single trace file", file=sys.stderr)
         return 2
-    if args.jobs > 1 and len(args.traces) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda p: _replay_one(p, args), args.traces))
-    else:
-        results = [_replay_one(p, args) for p in args.traces]
-    worst = 0
-    for (code, lines, csv_text), path in zip(results, args.traces):
-        for line in lines:
-            print(line)
-        if args.csv and csv_text is not None:
-            Path(args.csv).write_text(csv_text)
-        worst = max(worst, code)
-    return worst
+    return max(_replay_one(path, args) for path in args.traces)
 
 
 def _verify_one(path: str, args) -> tuple[int, str]:
@@ -205,13 +193,9 @@ def _verify_one(path: str, args) -> tuple[int, str]:
 
 
 def _cmd_verify(args) -> int:
-    if args.jobs > 1 and len(args.traces) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda p: _verify_one(p, args), args.traces))
-    else:
-        results = [_verify_one(p, args) for p in args.traces]
     worst = 0
-    for code, line in results:
+    for path in args.traces:
+        code, line = _verify_one(path, args)
         print(line)
         worst = max(worst, code)
     return worst

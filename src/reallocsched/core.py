@@ -6,8 +6,6 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-AUDIT_LEVELS = ("off", "invariants", "full-oracle")
-
 
 class SchedulerError(Exception):
     """Base class for scheduling failures."""
@@ -109,15 +107,12 @@ def delete_request(job_id: str) -> Request:
 class Config:
     machines: int = 1
     gamma: int = 1
-    audit_level: str = "off"
 
     def __post_init__(self):
         if self.machines < 1:
             raise ValueError("machine count must be >= 1")
         if self.gamma < 1:
             raise ValueError("gamma must be an integer >= 1")
-        if self.audit_level not in AUDIT_LEVELS:
-            raise ValueError(f"audit_level must be one of {AUDIT_LEVELS}")
 
 
 # One entry of a moved-set: (job_id, assignment before, assignment after).

@@ -50,6 +50,7 @@ class _FleetJob:
     window: Window
     aligned: AlignedWindow
     machine: int
+    wkey: WindowKey  # set on insert, refreshed by every capacity rebuild
 
 
 class Fleet:
@@ -66,8 +67,8 @@ class Fleet:
         self.nstar = 1
         self.machines = [MachineSchedule(config.gamma) for _ in range(config.machines)]
         self.jobs: dict[str, _FleetJob] = {}
-        self.n_w: dict[WindowKey, int] = {}
-        # Delegation-ordered member ids, per window per machine.
+        # Delegation-ordered member ids, per window per machine; a window's
+        # round-robin position is its total member count modulo m.
         self.members: dict[WindowKey, list[list[str]]] = {}
         self._ledger = CostLedger()
 
@@ -120,10 +121,6 @@ class Fleet:
     def _trim_bound(self) -> int:
         return 2 * self.config.gamma * self.nstar
 
-    def _effective_key(self, aligned: AlignedWindow) -> WindowKey:
-        eff = trim_window(aligned, self._trim_bound())
-        return (eff.span, eff.start)
-
     def _lift(self, machine: int, slot_moves) -> list[Move]:
         out: list[Move] = []
         for job_id, old, new in slot_moves:
@@ -138,11 +135,11 @@ class Fleet:
         if job_id in self.jobs:
             raise DuplicateJobId(f"job id {job_id!r} is already active")
         aligned = align_window(window)
-        wkey = self._effective_key(aligned)
-        mi = self.n_w.get(wkey, 0) % self.config.machines
+        eff = trim_window(aligned, self._trim_bound())
+        wkey = (eff.span, eff.start)
+        mi = sum(map(len, self.members.get(wkey, ()))) % self.config.machines
         slot_moves = self.machines[mi].insert(job_id, aligned)
-        self.jobs[job_id] = _FleetJob(window, aligned, mi)
-        self.n_w[wkey] = self.n_w.get(wkey, 0) + 1
+        self.jobs[job_id] = _FleetJob(window, aligned, mi, wkey)
         lists = self.members.setdefault(
             wkey, [[] for _ in range(self.config.machines)]
         )
@@ -153,14 +150,12 @@ class Fleet:
         job = self.jobs.pop(job_id, None)
         if job is None:
             raise UnknownJobId(f"job id {job_id!r} is not active")
-        wkey = self._effective_key(job.aligned)
+        wkey = job.wkey
         mi = job.machine
         moves = self._lift(mi, self.machines[mi].delete(job_id))
-        self.n_w[wkey] -= 1
         self.members[wkey][mi].remove(job_id)
-        n_new = self.n_w[wkey]
+        n_new = sum(map(len, self.members[wkey]))
         if n_new == 0:
-            del self.n_w[wkey]
             del self.members[wkey]
             return merge_moves(moves)
         # Rebalance: extras sit on the earliest machines, so the machine at
@@ -191,22 +186,21 @@ class Fleet:
         for job_id, job in self.jobs.items():
             eff = trim_window(job.aligned, bound)
             grouped.setdefault((eff.span, eff.start), []).append(job_id)
-        self.n_w = {}
         self.members = {}
         per_machine: list[list[tuple[str, AlignedWindow]]] = [
             [] for _ in range(self.config.machines)
         ]
         for wkey in sorted(grouped):
             ids = sorted(grouped[wkey])
-            self.n_w[wkey] = len(ids)
             lists = self.members.setdefault(
                 wkey, [[] for _ in range(self.config.machines)]
             )
             for pos, job_id in enumerate(ids):
                 mi = pos % self.config.machines
+                job = self.jobs[job_id]
                 lists[mi].append(job_id)
-                per_machine[mi].append((job_id, self.jobs[job_id].aligned))
-                self.jobs[job_id].machine = mi
+                per_machine[mi].append((job_id, job.aligned))
+                job.machine, job.wkey = mi, wkey
         for mi, machine in enumerate(self.machines):
             machine.rebuild(per_machine[mi], new)
         after = self.assignments()
@@ -215,12 +209,3 @@ class Fleet:
             if before[job_id] != after[job_id]:
                 moves.append((job_id, before[job_id], after[job_id]))
         return tuple(moves)
-
-
-def effective_windows(snapshot: FleetSnapshot) -> dict[str, tuple[int, int]]:
-    """job id -> half-open effective window, from a fleet snapshot."""
-    out: dict[str, tuple[int, int]] = {}
-    for machine in snapshot.machines:
-        for job_id, snap in machine.jobs.items():
-            out[job_id] = snap.window
-    return out

@@ -60,6 +60,29 @@ def capacity_step(nstar: int, n: int) -> int:
     return new
 
 
+def displace_longer(jobs: dict, occ: dict[int, str], job, start: int, end: int):
+    """Every slot of the job's window [start, end) is taken: give the job the
+    leftmost slot whose occupant has the smallest span of at least twice the
+    window's, and return that occupant, now without a slot.  Returns None,
+    changing nothing, when no occupant is that long.  The level-0 cascade
+    and the naive baseline share this rule; jobs expose job_id, slot and
+    span."""
+    span = end - start
+    best_slot = None
+    best_span = None
+    for slot in range(start, end):
+        vspan = jobs[occ[slot]].span
+        if vspan >= 2 * span and (best_span is None or vspan < best_span):
+            best_slot, best_span = slot, vspan
+    if best_slot is None:
+        return None
+    victim = jobs[occ[best_slot]]
+    victim.slot = None
+    occ[best_slot] = job.job_id
+    job.slot = best_slot
+    return victim
+
+
 @dataclass
 class _ActiveJob:
     job_id: str
@@ -67,6 +90,10 @@ class _ActiveJob:
     wkey: WindowKey  # effective (trimmed) window as (span, start)
     level: int
     slot: int | None = None
+
+    @property
+    def span(self) -> int:
+        return self.wkey[0]
 
     @property
     def effective(self) -> AlignedWindow:
@@ -189,24 +216,11 @@ class MachineSchedule:
                 self._dissolve(job.wkey, job.level)
         return self._moves
 
-    def set_capacity(self, n: int) -> list[SlotMove]:
-        """Track the active count; on a doubling/halving of nstar, re-trim
-        every window and rebuild from scratch, reporting net slot changes."""
-        new = capacity_step(self.nstar, n)
-        if new == self.nstar:
-            return []
-        before = {job_id: job.slot for job_id, job in self._jobs.items()}
-        items = [(job_id, job.aligned) for job_id, job in self._jobs.items()]
-        self.rebuild(items, new)
-        moves: list[SlotMove] = []
-        for job_id in sorted(before):
-            if self._jobs[job_id].slot != before[job_id]:
-                moves.append((job_id, before[job_id], self._jobs[job_id].slot))
-        return moves
-
     def rebuild(self, items, nstar: int) -> None:
         """Re-insert `items` of (job_id, aligned window) into a fresh
-        schedule, shortest effective span first so no insertion steals."""
+        schedule trimmed for `nstar`, shortest effective span first so no
+        insertion steals.  The only writer of nstar: the fleet owns the
+        estimate and rebuilds every machine when it changes."""
         self.nstar = nstar
         self._jobs = {}
         self._occ = {}
@@ -551,22 +565,12 @@ class MachineSchedule:
             if displaced is not None:
                 self._place(displaced, displaced_from=target)
             return
-        best_slot = None
-        best_span = None
-        for slot in range(start, end):
-            victim = self._jobs[self._occ[slot]]
-            vspan = victim.wkey[0]
-            if vspan >= 2 * span and (best_span is None or vspan < best_span):
-                best_slot, best_span = slot, vspan
-        if best_slot is None:
+        victim = displace_longer(self._jobs, self._occ, job, start, end)
+        if victim is None:
             raise NoFulfilledSlot(
                 f"window [{start}, {end}) is full of jobs with span < "
                 f"{2 * span}; the instance is not sufficiently underallocated",
                 window=(start, end),
             )
-        victim = self._jobs[self._occ[best_slot]]
-        victim.slot = None
-        self._occ[best_slot] = job.job_id
-        job.slot = best_slot
-        self._note(job.job_id, displaced_from, best_slot)
-        self._insert_level0(victim, displaced_from=best_slot)
+        self._note(job.job_id, displaced_from, job.slot)
+        self._insert_level0(victim, displaced_from=job.slot)

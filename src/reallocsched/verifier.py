@@ -9,7 +9,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .alignment import audit_counting_bound, is_power_of_two, level_of, level_threshold
-from .core import Infeasible, Job, NoFulfilledSlot, SchedulerError, Window
+from .core import Job, SchedulerError, Window
 from .feasibility import edf_feasible, underallocated
 from .fleet import FleetSnapshot
 from .reservation import MachineSnapshot
@@ -267,7 +267,7 @@ def replay(scheduler, requests, audit_level: str = "off") -> ReplayResult:
     for index, request in enumerate(requests):
         try:
             outcome = scheduler.apply(request)
-        except (NoFulfilledSlot, Infeasible, SchedulerError) as exc:
+        except SchedulerError as exc:
             result.error = (index, exc)
             return result
         result.records.append(outcome.record)

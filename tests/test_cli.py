@@ -111,7 +111,7 @@ def test_parallel_run_outputs_in_input_order(tmp_path, capsys):
               "--machines", "1", "--gamma", "64", "--seed", str(i)])
         paths.append(str(p))
     capsys.readouterr()
-    code, out = run_cli(capsys, "run", *paths, "--jobs", "3", "--audit", "off")
+    code, out = run_cli(capsys, "run", *paths, "--audit", "off")
     assert code == 0
     summaries = [l for l in out.splitlines() if l.startswith("summary")]
     assert [f"trace={p}" in s for p, s in zip(paths, summaries)] == [True] * 3

@@ -34,9 +34,6 @@ def test_config_validation():
         rs.Config(0, 1)
     with pytest.raises(ValueError):
         rs.Config(1, 0)
-    with pytest.raises(ValueError):
-        rs.Config(1, 1, "everything")
-    assert rs.Config(2, 192).audit_level == "off"
 
 
 def test_insert_with_one_shift_counts_one_reallocation():

@@ -70,10 +70,18 @@ def test_duplicate_and_unknown():
 def test_capacity_sync_rebuilds_whole_fleet():
     fleet = rs.Fleet(rs.Config(2, 192))
     outs = []
-    for i in range(9):
-        outs.append(fleet.apply(rs.insert_request(f"a{i}", i * 8192, i * 8192 + 4096)))
+    requests = [rs.insert_request(f"a{i}", i * 8192, i * 8192 + 4096) for i in range(9)]
+    requests += [rs.delete_request(f"a{i}") for i in range(8)]
+    nstars = []
+    for request in requests:
+        outs.append(fleet.apply(request))
+        nstars.append(fleet.nstar)
+        # the fleet alone owns nstar: every machine follows it
+        assert [m.nstar for m in fleet.machines] == [fleet.nstar] * 2
     rebuilds = [o for o in outs if o.record.rebuilt]
     assert rebuilds, "crossing nstar thresholds must trigger rebuilds"
+    # doublings on the way up, halvings on the way down
+    assert nstars == [1, 2, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16, 16, 16, 8, 8, 4]
     # within the band nothing happens
     fleet2 = rs.Fleet(rs.Config(2, 192))
     fleet2.apply(rs.insert_request("x", 0, 4096))

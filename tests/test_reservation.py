@@ -8,9 +8,9 @@ from reallocsched.reservation import capacity_step
 from conftest import aligned_multiset, single_machine_audit
 
 
-def fresh(gamma=8, capacity=256):
+def fresh(gamma=8, nstar=256):
     m = rs.MachineSchedule(gamma)
-    m.set_capacity(capacity)
+    m.rebuild([], nstar)
     return m
 
 
@@ -77,7 +77,7 @@ def test_delete_retracts_from_the_rightmost_heavy_intervals():
 
 def test_deleting_lower_job_promotes_waitlisted_reservation_without_moves():
     m = rs.MachineSchedule(gamma=1)
-    m.set_capacity(256)
+    m.rebuild([], 256)
     # 15 level-0 jobs shrink interval 0's allowance to 17 slots
     for i in range(15):
         m.insert(f"z{i}", rs.AlignedWindow(2 * i, 2))
@@ -95,7 +95,7 @@ def test_deleting_lower_job_promotes_waitlisted_reservation_without_moves():
 
 def test_reserve_steals_from_longer_window_and_moves_its_job():
     m = rs.MachineSchedule(gamma=1)
-    m.set_capacity(600)
+    m.rebuild([], 1024)
     # saturate the books of [0, 128): 2*62 + 4 = 128 reservations, 32/interval
     for i in range(62):
         m.insert(f"L{i}", rs.AlignedWindow(0, 128))
@@ -111,7 +111,7 @@ def test_reserve_steals_from_longer_window_and_moves_its_job():
 
 def test_waitlisted_when_not_shorter():
     m = rs.MachineSchedule(gamma=1)
-    m.set_capacity(600)
+    m.rebuild([], 1024)
     for i in range(30):
         m.insert(f"s{i}", rs.AlignedWindow(0, 64))  # 32 reservations over 2 intervals
     for i in range(2):
@@ -130,7 +130,7 @@ def test_move_swaps_with_higher_level_occupant():
     # must steal an occupied slot; the displaced job's only same-level-free
     # fulfilled slot holds a level-2 job, which swaps into the vacated slot.
     m = rs.MachineSchedule(gamma=1)
-    m.set_capacity(600)
+    m.rebuild([], 1024)
     for i in range(30):
         m.insert(f"W2_{i}", rs.AlignedWindow(0, 128))
     for i in range(15):
@@ -153,7 +153,7 @@ def test_move_swaps_with_higher_level_occupant():
 
 def test_displacement_cascades_across_levels():
     m = rs.MachineSchedule(gamma=1)
-    m.set_capacity(600)
+    m.rebuild([], 1024)
     m.insert("lvl1", rs.AlignedWindow(0, 64))
     assert m.assignments()["lvl1"] == 0
     m.insert("lvl2", rs.AlignedWindow(0, 512))
@@ -168,7 +168,7 @@ def test_displacement_cascades_across_levels():
 
 
 def test_level0_cascade_is_short():
-    m = fresh(gamma=1, capacity=64)
+    m = fresh(gamma=1, nstar=64)
     # fill [0, 32) in a nested pattern: spans 2,4,...,32
     m.insert("a", rs.AlignedWindow(0, 2))
     m.insert("b", rs.AlignedWindow(0, 4))
@@ -207,22 +207,17 @@ def test_capacity_step_examples():
     assert capacity_step(1, 0) == 1
 
 
-def test_set_capacity_rebuild_retrims():
+def test_rebuild_retrims():
     m = rs.MachineSchedule(gamma=8)
-    moves = m.insert("a", rs.AlignedWindow(0, 4096))
+    m.insert("a", rs.AlignedWindow(0, 4096))
     # nstar=1: trimmed to 16 slots, level 0
     assert m.assignments()["a"] < 16
     assert m.snapshot().jobs["a"].level == 0
-    moves = m.set_capacity(300)  # nstar 512, trim bound 8192: full span again
+    m.rebuild([("a", rs.AlignedWindow(0, 4096))], 512)  # trim bound 8192: full span again
+    assert m.nstar == 512
     assert m.snapshot().jobs["a"].effective == (0, 4096)
     assert m.snapshot().jobs["a"].level == 2
     assert not single_machine_audit(m)
-
-
-def test_set_capacity_within_band_does_nothing():
-    m = fresh()
-    m.insert("a", rs.AlignedWindow(0, 8))
-    assert m.set_capacity(1) == []
 
 
 def test_fulfilled_profile_history_independent(rng):
@@ -231,7 +226,7 @@ def test_fulfilled_profile_history_independent(rng):
     for _ in range(15):
         order = jobs[:]
         rng.shuffle(order)
-        m = fresh(gamma=8, capacity=len(jobs))
+        m = fresh(gamma=8, nstar=capacity_step(1, len(jobs)))
         for j in order:
             m.insert(j.id, rs.align_window(j.window))
         profiles.add(tuple(sorted(m.fulfilled_profile().items())))
@@ -239,7 +234,7 @@ def test_fulfilled_profile_history_independent(rng):
 
 
 def test_random_ops_keep_every_invariant(rng):
-    m = fresh(gamma=8, capacity=64)
+    m = fresh(gamma=8, nstar=64)
     active = []
     for step in range(300):
         if not active or (len(active) < 40 and rng.random() < 0.6):
