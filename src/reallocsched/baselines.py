@@ -14,6 +14,7 @@ from .core import (
     Infeasible,
     Job,
     Request,
+    SpanMax,
     UnknownJobId,
     Window,
     merge_moves,
@@ -139,6 +140,7 @@ class EdfRepackScheduler:
     def __init__(self, config: Config):
         self.config = config
         self.jobs: dict[str, Window] = {}
+        self._spans = SpanMax()  # spans of self.jobs, for the delta column
         self._assign: dict[str, Assignment] = {}
         self._ledger = CostLedger()
 
@@ -153,10 +155,11 @@ class EdfRepackScheduler:
             if request.job_id in self.jobs:
                 raise DuplicateJobId(f"job id {request.job_id!r} is already active")
             self.jobs[request.job_id] = request.window
+            self._spans.add(request.window.span)
         else:
             if request.job_id not in self.jobs:
                 raise UnknownJobId(f"job id {request.job_id!r} is not active")
-            del self.jobs[request.job_id]
+            self._spans.remove(self.jobs.pop(request.job_id).span)
         verdict = edf_feasible(
             [Job(job_id, w) for job_id, w in self.jobs.items()], self.config.machines
         )
@@ -176,7 +179,7 @@ class EdfRepackScheduler:
             request.job_id,
             moved,
             n=len(self.jobs),
-            delta=max((w.span for w in self.jobs.values()), default=0),
+            delta=self._spans.max(),
         )
         return RequestOutcome(record.index, request, moved, (), record)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 from dataclasses import dataclass, field
 
@@ -153,6 +154,48 @@ def _count_costs(moved: tuple[Move, ...]) -> tuple[int, int]:
             if old.machine != new.machine:
                 migr += 1
     return realloc, migr
+
+
+class SpanMax:
+    """Largest span in a multiset of spans under add and remove, in O(log d)
+    amortized per change for d distinct live spans: a live count per span
+    plus a lazy max-heap of distinct spans.  Entries of spans whose count
+    fell to zero are dropped when they reach the top, and the heap is
+    rebuilt from the live spans once such stale entries outnumber the live
+    ones, so its size follows the live distinct spans."""
+
+    __slots__ = ("_count", "_heap")
+
+    def __init__(self):
+        self._count: dict[int, int] = {}
+        self._heap: list[int] = []  # negated spans, live or stale
+
+    def add(self, span: int) -> None:
+        count = self._count.get(span, 0)
+        self._count[span] = count + 1
+        if count == 0:
+            heapq.heappush(self._heap, -span)
+            self._compact()
+
+    def remove(self, span: int) -> None:
+        count = self._count[span] - 1
+        if count:
+            self._count[span] = count
+        else:
+            del self._count[span]
+            self._compact()
+
+    def max(self) -> int:
+        """The largest live span, or 0 when there is none."""
+        heap = self._heap
+        while heap and -heap[0] not in self._count:
+            heapq.heappop(heap)
+        return -heap[0] if heap else 0
+
+    def _compact(self) -> None:
+        if len(self._heap) > 2 * len(self._count):
+            self._heap = [-span for span in self._count]
+            heapq.heapify(self._heap)
 
 
 @dataclass(frozen=True)

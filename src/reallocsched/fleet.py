@@ -15,11 +15,12 @@ from .core import (
     Move,
     Request,
     RequestRecord,
+    SpanMax,
     UnknownJobId,
     Window,
     merge_moves,
 )
-from .reservation import MachineSchedule, MachineSnapshot, capacity_step
+from .reservation import MachineSchedule, MachineSnapshot, capacity_step, trim_bound
 
 WindowKey = tuple[int, int]  # (span, start) of the effective aligned window
 
@@ -45,12 +46,18 @@ class RequestOutcome:
     record: RequestRecord
 
 
-@dataclass
+@dataclass(slots=True)
 class _FleetJob:
     window: Window
     aligned: AlignedWindow
     machine: int
     wkey: WindowKey  # set on insert, refreshed by every capacity rebuild
+
+    # Pickled as constructor arguments: the default state of a slotted
+    # object is a fresh dict per job, which the pickler keeps until the dump
+    # ends (+9 MB resident after pickling a 6000-job fleet).
+    def __reduce__(self):
+        return _FleetJob, (self.window, self.aligned, self.machine, self.wkey)
 
 
 class Fleet:
@@ -67,6 +74,8 @@ class Fleet:
         self.nstar = 1
         self.machines = [MachineSchedule(config.gamma) for _ in range(config.machines)]
         self.jobs: dict[str, _FleetJob] = {}
+        # Original spans of self.jobs, for the ledger's delta column.
+        self._spans = SpanMax()
         # Delegation-ordered member ids, per window per machine; a window's
         # round-robin position is its total member count modulo m.
         self.members: dict[WindowKey, list[list[str]]] = {}
@@ -89,7 +98,7 @@ class Fleet:
             request.job_id,
             moved,
             n=len(self.jobs),
-            delta=self._max_span(),
+            delta=self._spans.max(),
             rebuild_moved=rebuild_moved,
             rebuilt=self.nstar != nstar_before,
         )
@@ -115,11 +124,8 @@ class Fleet:
 
     # -- request handling ----------------------------------------------------
 
-    def _max_span(self) -> int:
-        return max((j.window.span for j in self.jobs.values()), default=0)
-
     def _trim_bound(self) -> int:
-        return 2 * self.config.gamma * self.nstar
+        return trim_bound(self.config.gamma, self.nstar)
 
     def _lift(self, machine: int, slot_moves) -> list[Move]:
         out: list[Move] = []
@@ -140,6 +146,7 @@ class Fleet:
         mi = sum(map(len, self.members.get(wkey, ()))) % self.config.machines
         slot_moves = self.machines[mi].insert(job_id, aligned)
         self.jobs[job_id] = _FleetJob(window, aligned, mi, wkey)
+        self._spans.add(window.span)
         lists = self.members.setdefault(
             wkey, [[] for _ in range(self.config.machines)]
         )
@@ -150,6 +157,7 @@ class Fleet:
         job = self.jobs.pop(job_id, None)
         if job is None:
             raise UnknownJobId(f"job id {job_id!r} is not active")
+        self._spans.remove(job.window.span)
         wkey = job.wkey
         mi = job.machine
         moves = self._lift(mi, self.machines[mi].delete(job_id))

@@ -50,6 +50,11 @@ WindowKey = tuple[int, int]
 SlotMove = tuple[str, int | None, int | None]
 
 
+def trim_bound(gamma: int, nstar: int) -> int:
+    """The largest effective window span at capacity estimate nstar."""
+    return 2 * gamma * nstar
+
+
 def capacity_step(nstar: int, n: int) -> int:
     """Double nstar while n exceeds it; halve (floor 1) while n < nstar/4."""
     new = nstar
@@ -169,11 +174,8 @@ class MachineSchedule:
     def __contains__(self, job_id: str) -> bool:
         return job_id in self._jobs
 
-    def trim_bound(self) -> int:
-        return 2 * self.gamma * self.nstar
-
     def effective_window(self, aligned: AlignedWindow) -> AlignedWindow:
-        return trim_window(aligned, self.trim_bound())
+        return trim_window(aligned, trim_bound(self.gamma, self.nstar))
 
     def assignments(self) -> dict[str, int]:
         return {job_id: job.slot for job_id, job in self._jobs.items()}
@@ -226,7 +228,7 @@ class MachineSchedule:
         self._occ = {}
         self._groups = {}
         self._books = {}
-        cap = floor_power_of_two(self.trim_bound())
+        cap = floor_power_of_two(trim_bound(self.gamma, nstar))
         order = sorted(items, key=lambda it: (min(it[1].span, cap), it[1].start, it[0]))
         for job_id, aligned in order:
             self.insert(job_id, aligned)

@@ -1,7 +1,7 @@
 import pytest
 
 import reallocsched as rs
-from reallocsched.core import CostLedger, merge_moves
+from reallocsched.core import CostLedger, SpanMax, merge_moves
 
 
 def A(job_id, machine, slot):
@@ -106,3 +106,57 @@ def test_ledger_csv_shape():
     lines = ledger.to_csv().splitlines()
     assert lines[0].startswith("index,op,job_id")
     assert lines[1] == "0,insert,a,1,2,0,0,0,0,0"
+
+
+def test_span_max_empty_is_zero():
+    spans = SpanMax()
+    assert spans.max() == 0
+    spans.add(8)
+    spans.remove(8)
+    assert spans.max() == 0
+
+
+def test_span_max_counts_repeated_spans():
+    spans = SpanMax()
+    for span in (4, 16, 16, 2, 16):
+        spans.add(span)
+    assert spans.max() == 16
+    spans.remove(16)
+    spans.remove(16)
+    assert spans.max() == 16  # one copy is still live
+    spans.remove(16)
+    assert spans.max() == 4
+    spans.remove(4)
+    assert spans.max() == 2
+
+
+def test_span_max_readds_span_with_stale_entry():
+    spans = SpanMax()
+    for span in (32, 8, 8):
+        spans.add(span)
+    spans.remove(32)  # count 0; its heap entry is now stale
+    spans.add(32)     # live again beside the stale entry
+    assert spans.max() == 32
+    spans.remove(32)
+    assert spans.max() == 8
+    spans.add(32)
+    spans.remove(32)
+    spans.remove(8)
+    assert spans.max() == 8
+    spans.remove(8)
+    assert spans.max() == 0
+
+
+def test_span_max_heap_follows_live_distinct_spans():
+    spans = SpanMax()
+    for span in (3, 5, 7):
+        spans.add(span)
+    for i in range(10_000):
+        spans.add(100 + i)
+        spans.remove(100 + i)
+        assert len(spans._heap) <= 2 * len(spans._count) + 1
+    assert len(spans._count) == 3
+    assert spans.max() == 7
+    for span in (3, 5, 7):
+        spans.remove(span)
+    assert spans._heap == [] and spans.max() == 0

@@ -1,4 +1,8 @@
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reallocsched as rs
 from reallocsched.verifier import replay
@@ -167,3 +171,96 @@ def test_outcome_moves_carry_assignments():
     (job_id, old, new), = out.moved
     assert job_id == "a" and old is None
     assert new == fleet.assignments()["a"]
+
+
+class _NoScanJobs(dict):
+    """A job table that refuses to be walked: lookups, inserts, pops and
+    len() work, every full iteration raises."""
+
+    def _scan(self, *args):
+        raise AssertionError("a request visited every active job")
+
+    __iter__ = keys = values = items = _scan
+
+
+def _region_insert(job_id, region, span):
+    return rs.insert_request(job_id, region * 8192, region * 8192 + span)
+
+
+def _filled_fleet():
+    """40 jobs j0..j39, job ji alone in region i with span 64 << (i % 4)."""
+    fleet = rs.Fleet(rs.Config(2, 16))
+    for i in range(40):
+        fleet.apply(_region_insert(f"j{i}", i, 64 << (i % 4)))
+    return fleet
+
+
+def test_requests_outside_rebuilds_visit_no_job_table_scan():
+    fleet = _filled_fleet()
+    assert fleet.nstar == 64
+    fleet.jobs = _NoScanJobs(fleet.jobs)
+    spans = {f"j{i}": 64 << (i % 4) for i in range(40)}
+    for step in range(200):
+        i = step % 40
+        out = fleet.apply(rs.delete_request(f"j{i}"))
+        del spans[f"j{i}"]
+        assert out.record.delta == max(spans.values())
+        span = 64 << ((i + step) % 6)
+        out = fleet.apply(_region_insert(f"j{i}", i, span))
+        spans[f"j{i}"] = span
+        assert out.record.delta == max(spans.values())
+        assert not out.record.rebuilt
+    assert fleet.nstar == 64
+
+
+def test_filled_fleet_pickle_round_trips():
+    fleet = _filled_fleet()
+    copy = pickle.loads(pickle.dumps(fleet, pickle.HIGHEST_PROTOCOL))
+    assert copy.snapshot() == fleet.snapshot()
+    tail = [rs.delete_request("j39"), rs.delete_request("j3"), _region_insert("k", 50, 4096)]
+    for request in tail:
+        assert copy.apply(request).record == fleet.apply(request).record
+    assert copy.ledger().to_csv() == fleet.ledger().to_csv()
+
+
+POOL = 40  # job ids j0..j39; job jK only ever lives in its own 8192-slot region
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["reservation", "naive", "edf"]),
+    machines=st.integers(1, 3),
+    fill=st.integers(0, POOL),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "insert", "delete"]),
+            st.integers(0, POOL - 1),
+            st.integers(0, 4095),  # offset of the window in its region
+            st.integers(64, 4096),  # original, unaligned span
+        ),
+        max_size=60,
+    ),
+    drain=st.permutations(range(POOL)),
+)
+def test_delta_is_max_original_span_of_active_jobs(kind, machines, fill, ops, drain):
+    requests = [_region_insert(f"j{k}", k, 64 + 37 * k) for k in range(fill)]
+    for op, k, offset, span in ops:
+        if op == "insert":
+            start = k * 8192 + offset
+            requests.append(rs.insert_request(f"j{k}", start, start + span))
+        else:
+            requests.append(rs.delete_request(f"j{k}"))
+    requests += [rs.delete_request(f"j{k}") for k in drain]  # unknown ids too
+    sched = rs.build_scheduler(kind, rs.Config(machines, 8))
+    after_rejection = False
+    for request in requests:
+        try:
+            out = sched.apply(request)
+        except (rs.DuplicateJobId, rs.UnknownJobId):
+            after_rejection = True
+            continue
+        windows = sched.snapshot().original_windows.values()
+        expected = max((end - start for start, end in windows), default=0)
+        assert out.record.delta == expected, (request, after_rejection)
+        after_rejection = False
+    assert sched.snapshot().original_windows == {}
