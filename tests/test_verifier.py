@@ -17,6 +17,11 @@ def failed_invariants(snapshot, level="invariants"):
     return {f.invariant for f in rs.audit(snapshot, level)}
 
 
+def failure_rows(snapshot, level="invariants"):
+    """The audit's failures as (invariant, subject, detail), in order."""
+    return [(f.invariant, f.subject, f.detail) for f in rs.audit(snapshot, level)]
+
+
 def test_clean_state_audits_empty():
     snap = clean_snapshot()
     assert rs.audit(snap, "invariants") == []
@@ -37,6 +42,11 @@ def test_two_jobs_in_one_slot_fires_validity():
     ids = sorted(machine.jobs)
     machine.jobs[ids[0]].slot = machine.jobs[ids[1]].slot
     assert "validity" in failed_invariants(snap)
+    assert failure_rows(snap) == [
+        ("validity", "machine 0 slot 2", "held by both a0 and a2"),
+        ("validity", "machine 0 slot 1", "occupancy says a0 but the job is elsewhere"),
+        ("validity", "machine 0 job a0", "job slot missing from the occupancy map"),
+    ]
 
 
 def test_job_outside_window_fires_validity():
@@ -48,6 +58,11 @@ def test_job_outside_window_fires_validity():
     machine.jobs[jid].slot = 9999
     machine.occupancy[9999] = jid
     assert "validity" in failed_invariants(snap)
+    assert failure_rows(snap) == [
+        ("validity", "machine 0 job a0", "slot 9999 outside window [0, 64)"),
+        ("job-binding", "machine 0 window [0, 64)",
+         "job a0 sits at slot 9999 without a fulfilled reservation of its window"),
+    ]
 
 
 def test_missing_reservation_fires_invariant1():
@@ -59,6 +74,14 @@ def test_missing_reservation_fires_invariant1():
     wkey = sorted(book.res)[0]
     book.res[wkey] -= 1  # now 2x + 2^k fails
     assert "invariant1" in failed_invariants(snap)
+    assert failure_rows(snap) == [
+        ("allowance", "machine 0 interval L1[0]", "window (64, 0) holds 4 slots but 3 reservations"),
+        ("priority", "machine 0 interval L1[0]",
+         "window (64, 0) has 4 fulfilled, priority order dictates 3 (capacity 29)"),
+        ("invariant1", "machine 0 window [0, 64)", "7 reservations for 3 jobs; expected 8"),
+        ("invariant1", "machine 0 window [0, 64)",
+         "interval position 0 holds 3 reservations, expected 4"),
+    ]
 
 
 def test_priority_violation_fires():
@@ -73,6 +96,12 @@ def test_priority_violation_fires():
     book.bound[slot] = longer
     fired = failed_invariants(snap)
     assert "priority" in fired or "invariant1" in fired
+    assert failure_rows(snap) == [
+        ("priority", "machine 0 interval L1[0]",
+         "window (64, 0) has 3 fulfilled, priority order dictates 4 (capacity 29)"),
+        ("job-binding", "machine 0 window [0, 64)",
+         "job a0 sits at slot 1 without a fulfilled reservation of its window"),
+    ]
 
 
 def test_bound_slot_outside_allowance_fires():
@@ -88,6 +117,12 @@ def test_bound_slot_outside_allowance_fires():
     del book.bound[was]
     book.bound[lvl0_slot] = wkey
     assert "allowance" in failed_invariants(snap)
+    assert failure_rows(snap) == [
+        ("allowance", "machine 0 interval L1[0]",
+         "slot 0 is outside the allowance (level-0 job) yet bound"),
+        ("job-binding", "machine 0 window [0, 64)",
+         "job a0 sits at slot 1 without a fulfilled reservation of its window"),
+    ]
 
 
 def test_starved_group_fires_reservation_space():
@@ -100,6 +135,18 @@ def test_starved_group_fires_reservation_space():
             book.res[wkey] -= 1  # keep arithmetic consistent, kill fulfillment
     fired = failed_invariants(snap)
     assert "reservation-space" in fired
+    assert failure_rows(snap) == [
+        ("invariant1", "machine 0 window [0, 64)", "0 reservations for 3 jobs; expected 8"),
+        ("invariant1", "machine 0 window [0, 64)",
+         "interval position 0 holds 0 reservations, expected 4"),
+        ("invariant1", "machine 0 window [0, 64)",
+         "interval position 1 holds 0 reservations, expected 4"),
+        ("reservation-space", "machine 0 window [0, 64)", "only 0 fulfilled reservations for 3 jobs"),
+    ] + [
+        ("job-binding", "machine 0 window [0, 64)",
+         f"job {jid} sits at slot {slot} without a fulfilled reservation of its window")
+        for jid, slot in (("a0", 1), ("a2", 2), ("a4", 3))
+    ]
 
 
 def test_unbalanced_fleet_fires_balance():
@@ -114,6 +161,11 @@ def test_unbalanced_fleet_fires_balance():
     m1.occupancy[free] = jid
     fired = failed_invariants(snap)
     assert "balance" in fired
+    assert failure_rows(snap) == [
+        ("job-binding", "machine 0 window [0, 64)", "group member a0 is not placed"),
+        ("balance", "window (0, 64)",
+         "machine 0 holds 2 jobs of the window, expected 3 (extras on the earliest machines)"),
+    ]
 
 
 def test_full_oracle_catches_overallocation():
@@ -122,6 +174,10 @@ def test_full_oracle_catches_overallocation():
         fleet.apply(rs.insert_request(f"a{i}", 0, 8))  # feasible, but not 8-underallocated
     fired = failed_invariants(fleet.snapshot(), "full-oracle")
     assert "underallocated-global" in fired
+    assert failure_rows(fleet.snapshot(), "full-oracle") == [
+        ("underallocated-global", "active set",
+         "original windows are not 8-underallocated on 1 machines"),
+    ]
 
 
 def test_replay_reports_error_index():
