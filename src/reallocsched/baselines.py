@@ -164,6 +164,10 @@ class EdfRepackScheduler:
             [Job(job_id, w) for job_id, w in self.jobs.items()], self.config.machines
         )
         if not verdict.feasible:
+            # Only an insert can make a feasible set infeasible; undo it so
+            # the rejected job is not left active.
+            del self.jobs[request.job_id]
+            self._spans.remove(request.window.span)
             raise Infeasible(f"no feasible schedule after {request.op} {request.job_id}")
         new_assign = {a.job_id: a for a in verdict.witness}
         moves = []

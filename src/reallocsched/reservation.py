@@ -100,10 +100,6 @@ class _ActiveJob:
     def span(self) -> int:
         return self.wkey[0]
 
-    @property
-    def effective(self) -> AlignedWindow:
-        return AlignedWindow(self.wkey[1], self.wkey[0])
-
 
 class _Book:
     """Reservation book of one level-l interval."""

@@ -1,7 +1,12 @@
-"""Cross-cutting audit engine, run between requests on immutable snapshots:
-schedule validity, reservation arithmetic, fulfillment priority, allowance
-consistency, round-robin balance, and (at full-oracle level) brute-force
-feasibility and underallocation checks."""
+"""Cross-cutting audit engine, run between requests on snapshots (mutable
+copies the caller owns; the audit only reads them): schedule validity,
+reservation arithmetic, fulfillment priority, allowance consistency,
+round-robin balance, and (at full-oracle level) brute-force feasibility and
+underallocation checks.
+
+The invariants audit costs O(jobs x levels + books + reservations) per
+snapshot: each machine's occupancy and bindings are tallied once (_tally),
+and the book and group checks read the tally."""
 
 from __future__ import annotations
 
@@ -12,10 +17,12 @@ from .alignment import audit_counting_bound, is_power_of_two, level_of, level_th
 from .core import Job, SchedulerError, Window
 from .feasibility import edf_feasible, underallocated
 from .fleet import FleetSnapshot
-from .reservation import MachineSnapshot
+from .reservation import MachineSnapshot, WindowKey
 
 #: Above this many active jobs, full-oracle audits degrade to invariants.
 FULL_ORACLE_JOB_CAP = 500
+
+_NO_SLOTS: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -81,32 +88,82 @@ def _check_windows(failures, mi: int, machine: MachineSnapshot) -> None:
                   f"span {e_span} is level {level_of(e_span)}, recorded {snap.level}")
 
 
-def _lower_occupancy(machine: MachineSnapshot, level: int, lo: int, hi: int) -> int:
-    count = 0
-    for slot, job_id in machine.occupancy.items():
-        if lo <= slot < hi:
-            job_level = machine.jobs[job_id].level
-            if job_level is not None and job_level < level:
-                count += 1
-    return count
+def _tally(machine: MachineSnapshot):
+    """One pass over the occupancy and one over each book's bindings.
+
+    Returns (sizes, held, fulfilled): sizes maps each book level to its
+    interval size; held and fulfilled are keyed by book key (level, index).
+    held[key] is the set of the interval's slots that lower-level jobs
+    occupy, i.e. the slots outside its allowance (missing when empty);
+    fulfilled[key] counts the book's bound slots per window, in binding
+    order.  O(jobs x levels + reservations)."""
+    sizes = {level: level_threshold(level) for level in {lv for lv, _ in machine.books}}
+    held: dict[tuple[int, int], set[int]] = {}
+    if sizes:
+        jobs = machine.jobs
+        for slot, job_id in machine.occupancy.items():
+            snap = jobs.get(job_id)
+            if snap is None or snap.level is None:
+                continue
+            for level, size in sizes.items():
+                if level > snap.level:
+                    key = (level, slot // size)
+                    slots = held.get(key)
+                    if slots is None:
+                        held[key] = {slot}
+                    else:
+                        slots.add(slot)
+    fulfilled: dict[tuple[int, int], dict[WindowKey, int]] = {}
+    for key, book in machine.books.items():
+        counts = fulfilled[key] = {}
+        for wkey in book.bound.values():
+            counts[wkey] = counts.get(wkey, 0) + 1
+    return sizes, held, fulfilled
 
 
-def _check_books(failures, mi: int, machine: MachineSnapshot) -> None:
-    for (level, index), book in machine.books.items():
-        size = level_threshold(level)
+def _priority_prefix(res: dict[WindowKey, int], lo: int, hi: int, capacity: int):
+    """The fulfilled counts the shortest-window-first priority dictates
+    (windows with none left out), or None when a reserving window does not
+    contain the interval [lo, hi)."""
+    expected = {}
+    remaining = capacity
+    for wkey in sorted(res):
+        span, start = wkey
+        if start > lo or start + span < hi:
+            return None
+        expect = min(res[wkey], max(remaining, 0))
+        remaining -= expect
+        if expect:
+            expected[wkey] = expect
+    return expected
+
+
+def _check_books(failures, mi: int, machine: MachineSnapshot, sizes, held_by_book,
+                 fulfilled_by_book) -> None:
+    for key, book in machine.books.items():
+        level, index = key
+        size = sizes[level]
         lo, hi = index * size, (index + 1) * size
+        held = held_by_book.get(key, _NO_SLOTS)
+        fulfilled = fulfilled_by_book[key]
+        capacity = size - len(held)
+        # A clean book is settled by C-level operations over its slots; only
+        # a faulty one runs the per-slot loops that word the failures.
+        bound = book.bound
+        if (
+            not bound
+            or (lo <= min(bound) and max(bound) < hi and bound.keys().isdisjoint(held))
+        ) and fulfilled == _priority_prefix(book.res, lo, hi, capacity):
+            continue
         subject = f"machine {mi} interval L{level}[{index}]"
-        fulfilled: dict[tuple[int, int], int] = {}
-        for slot, wkey in book.bound.items():
-            fulfilled[wkey] = fulfilled.get(wkey, 0) + 1
+        for slot in book.bound:
             if not lo <= slot < hi:
                 _fail(failures, "allowance", subject, f"bound slot {slot} outside the interval")
-            occ_id = machine.occupancy.get(slot)
-            if occ_id is not None:
-                occ_level = machine.jobs[occ_id].level
-                if occ_level is not None and occ_level < level:
-                    _fail(failures, "allowance", subject,
-                          f"slot {slot} is outside the allowance (level-{occ_level} job) yet bound")
+            # An occupant missing from jobs is _check_validity's to report.
+            occ = machine.jobs.get(machine.occupancy.get(slot))
+            if occ is not None and occ.level is not None and occ.level < level:
+                _fail(failures, "allowance", subject,
+                      f"slot {slot} is outside the allowance (level-{occ.level} job) yet bound")
         for wkey, count in fulfilled.items():
             if count > book.res.get(wkey, 0):
                 _fail(failures, "allowance", subject,
@@ -118,7 +175,6 @@ def _check_books(failures, mi: int, machine: MachineSnapshot) -> None:
                       f"reserving window {wkey} does not contain the interval")
         # Fulfillment must be exactly the shortest-window-first prefix of the
         # reservation multiset under the allowance capacity.
-        capacity = size - _lower_occupancy(machine, level, lo, hi)
         remaining = capacity
         for wkey in sorted(book.res):
             expect = min(book.res[wkey], max(remaining, 0))
@@ -129,7 +185,7 @@ def _check_books(failures, mi: int, machine: MachineSnapshot) -> None:
                       f"priority order dictates {expect} (capacity {capacity})")
 
 
-def _check_groups(failures, mi: int, machine: MachineSnapshot) -> None:
+def _check_groups(failures, mi: int, machine: MachineSnapshot, fulfilled_by_book) -> None:
     for (span, start), members in machine.groups.items():
         wkey = (span, start)
         x = len(members)
@@ -141,13 +197,14 @@ def _check_groups(failures, mi: int, machine: MachineSnapshot) -> None:
         totals = []
         fulfilled_total = 0
         for index in range(base, base + count):
-            book = machine.books.get((level, index))
+            key = (level, index)
+            book = machine.books.get(key)
             if book is None:
                 _fail(failures, "invariant1", subject, f"interval {index} has no book")
                 totals.append(0)
                 continue
             totals.append(book.res.get(wkey, 0))
-            fulfilled_total += sum(1 for w in book.bound.values() if w == wkey)
+            fulfilled_total += fulfilled_by_book[key].get(wkey, 0)
         if sum(totals) != 2 * x + count:
             _fail(failures, "invariant1", subject,
                   f"{sum(totals)} reservations for {x} jobs; expected {2 * x + count}")
@@ -205,8 +262,9 @@ def audit(
     for mi, machine in enumerate(snapshot.machines):
         _check_validity(failures, mi, machine)
         _check_windows(failures, mi, machine)
-        _check_books(failures, mi, machine)
-        _check_groups(failures, mi, machine)
+        sizes, held, fulfilled = _tally(machine)
+        _check_books(failures, mi, machine, sizes, held, fulfilled)
+        _check_groups(failures, mi, machine, fulfilled)
     if snapshot.delegated:
         _check_balance(failures, snapshot)
     if level != "full-oracle":

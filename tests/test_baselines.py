@@ -97,6 +97,17 @@ def test_edf_repack_raises_infeasible():
         sched.apply(rs.insert_request("b", 0, 1))
 
 
+def test_edf_repack_infeasible_insert_leaves_no_trace():
+    sched = rs.build_scheduler("edf", rs.Config(1, 1))
+    sched.apply(rs.insert_request("a", 0, 1))
+    with pytest.raises(rs.Infeasible):
+        sched.apply(rs.insert_request("b", 0, 1))
+    assert sched.snapshot().original_windows == {"a": (0, 1)}
+    out = sched.apply(rs.insert_request("b", 1, 2))
+    assert out.record.n == 2 and out.record.delta == 1
+    assert {j: a.slot for j, a in sched.assignments().items()} == {"a": 0, "b": 1}
+
+
 def test_baselines_produce_valid_schedules(rng):
     trace = rs.gen_random_underallocated(20, 2, 8, 3, length=100, aligned=True)
     for kind in ("naive", "edf"):
