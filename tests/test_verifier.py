@@ -163,6 +163,15 @@ def test_ghost_occupant_is_reported_not_raised():
     assert failure_rows(snap) == [
         ("validity", f"machine 0 slot {free}", "occupancy says ghost but the job is elsewhere"),
     ]
+    # A second fault in the same book sends it through the per-slot checks.
+    book.res[(64, 64)] = 1
+    assert failure_rows(snap) == [
+        ("validity", f"machine 0 slot {free}", "occupancy says ghost but the job is elsewhere"),
+        ("allowance", "machine 0 interval L1[0]",
+         "reserving window (64, 64) does not contain the interval"),
+        ("priority", "machine 0 interval L1[0]",
+         "window (64, 64) has 0 fulfilled, priority order dictates 1 (capacity 29)"),
+    ]
 
 
 def test_unbalanced_fleet_fires_balance():
@@ -395,10 +404,12 @@ def _mutate(rng, machine):
             if free:
                 book.bound[rng.choice(free)] = (span, start)
     else:
-        occupied = sorted(machine.occupancy)
-        if not occupied:
+        book = _pick_book(rng, machine, need_bound=True)
+        if book is None:
             return None
-        machine.occupancy[rng.choice(occupied) + rng.randrange(1, 64)] = "ghost"
+        free = [s for s in sorted(book.bound) if s not in machine.occupancy]
+        slot = rng.choice(free) if free else max(machine.occupancy) + 1
+        machine.occupancy[slot] = "ghost"
     return kind
 
 
